@@ -23,6 +23,7 @@
 //! assert!(!scheme.config().restrictions().is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

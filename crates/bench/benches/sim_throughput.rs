@@ -52,24 +52,6 @@ fn kernel_cycles_per_sec(kind: &SchemeKind, vcs: usize, rate: f64, cycles: u64) 
     total as f64 / start.elapsed().as_secs_f64()
 }
 
-/// [`kernel_cycles_per_sec`] on the spatially sharded kernel: sets the
-/// process-wide shard default (what `--shards` does), measures, and
-/// restores the serial default. `shards = 1` exercises the serial path
-/// through the sharded entry points — the configuration the perf gate
-/// pins against `upp_1vc` to catch dispatch overhead on the serial path.
-fn kernel_cycles_per_sec_sharded(
-    kind: &SchemeKind,
-    vcs: usize,
-    rate: f64,
-    cycles: u64,
-    shards: usize,
-) -> f64 {
-    upp_noc::shard::set_default_shards(shards);
-    let cps = kernel_cycles_per_sec(kind, vcs, rate, cycles);
-    upp_noc::shard::set_default_shards(1);
-    cps
-}
-
 /// Times a small rate sweep on the engine with a given worker count.
 fn sweep_seconds(jobs: usize, rates: &[f64], cycles: u64) -> f64 {
     let spec = ChipletSystemSpec::baseline();
@@ -129,8 +111,8 @@ fn obs_cycles_per_sec(enable: bool, cycles: u64) -> f64 {
 
 /// End-of-run kernel memory footprint of one benched configuration.
 /// Unlike the cycles/sec numbers this is *deterministic* — same config,
-/// seed and cycle count give byte-identical reports on any machine and
-/// any `--shards` value — so regressions here are exact, not statistical.
+/// seed and cycle count give byte-identical reports on any machine — so
+/// regressions here are exact, not statistical.
 fn mem_footprint(vcs: usize, cycles: u64) -> upp_noc::network::MemReport {
     let spec = ChipletSystemSpec::baseline();
     let built = build_system(
@@ -264,13 +246,6 @@ fn main() {
     let obs_off = obs_cycles_per_sec(false, cycles);
     let obs_on = obs_cycles_per_sec(true, cycles);
 
-    // Sharded-kernel scaling (byte-identical results at every shard
-    // count; only wall-clock may differ). `shards1` is the serial path
-    // re-measured — the perf gate pins it within 5% of `upp_1vc`.
-    let shards1 = kernel_cycles_per_sec_sharded(&upp, 1, 0.06, cycles, 1);
-    let shards2 = kernel_cycles_per_sec_sharded(&upp, 1, 0.06, cycles, 2);
-    let shards4 = kernel_cycles_per_sec_sharded(&upp, 1, 0.06, cycles, 4);
-
     let rates: Vec<f64> = if q {
         vec![0.02, 0.05, 0.08, 0.11]
     } else {
@@ -306,22 +281,16 @@ fn main() {
          \"hardware_threads\": {threads},\n  \"measure_cycles\": {cycles},\n  \
          \"cycles_per_sec\": {{\n    \"upp_1vc\": {upp_1vc:.0},\n    \
          \"upp_4vc\": {upp_4vc:.0},\n    \"no_scheme_1vc\": {none_1vc:.0},\n    \
-         \"upp_1vc_obs_off\": {obs_off:.0},\n    \
-         \"upp_1vc_shards1\": {shards1:.0}\n  }},\n  \
+         \"upp_1vc_obs_off\": {obs_off:.0}\n  }},\n  \
          \"obs\": {{\n    \"cycles_per_sec_disabled\": {obs_off:.0},\n    \
          \"cycles_per_sec_enabled\": {obs_on:.0},\n    \
          \"enabled_over_disabled\": {:.3}\n  }},\n  \
-         \"shards\": {{\n    \"cycles_per_sec_shards1\": {shards1:.0},\n    \
-         \"cycles_per_sec_shards2\": {shards2:.0},\n    \
-         \"cycles_per_sec_shards4\": {shards4:.0},\n    \
-         \"speedup_shards4\": {:.2}\n  }},\n  \
          \"mem\": {{\n    \"upp_1vc\": {mem_1vc},\n    \
          \"upp_4vc\": {mem_4vc}\n  }},\n  \
          \"sweep\": {{\n    \"rates\": {},\n    \"serial_secs\": {serial:.3},\n    \
          \"jobs4_secs\": {jobs4:.3},\n    \"speedup_jobs4\": {:.2}\n  }},\n  \
          \"scheduler_scenarios\": {{\n{scenarios_json}\n  }}\n}}\n",
         obs_on / obs_off,
-        shards4 / shards1,
         rates.len(),
         serial / jobs4,
     );

@@ -343,4 +343,21 @@ mod tests {
         let csv = csv(&points);
         assert_eq!(csv.lines().count(), 1 + points.len());
     }
+
+    /// The quick UPP 3x3 point, repeated in one process, gives identical
+    /// results: every `HashMap` built here gets a fresh hasher seed, so a
+    /// protocol decision taken in hash order would show up as a diff.
+    #[test]
+    fn upp_point_repeats_exactly() {
+        let kind = SchemeKind::Upp(upp_core::UppConfig::default());
+        let run = || serde_json::to_string(&run_point(3, 3, &kind, true)).expect("serializable");
+        let first = run();
+        for _ in 0..3 {
+            assert_eq!(
+                run(),
+                first,
+                "fig_scaling UPP 3x3 point is not reproducible"
+            );
+        }
+    }
 }

@@ -21,6 +21,7 @@
 //! `cargo bench -p upp-bench` exercises reduced configurations of the same
 //! code paths under criterion.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

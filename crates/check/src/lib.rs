@@ -25,6 +25,7 @@
 //! See `MODEL.md` in this crate for the abstraction map and its
 //! soundness arguments, and the `upp-check` binary for the CLI.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -17,6 +17,8 @@
 //! 3 violation found, 4 replay contradicts the artifact's prediction,
 //! 2 usage error.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use upp_check::artifact::{clean_artifact, livelock_artifact, recovery_artifact};

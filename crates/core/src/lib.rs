@@ -53,6 +53,7 @@
 //! assert_eq!(stats.lock().unwrap().upward_packets, 0); // no deadlock here
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

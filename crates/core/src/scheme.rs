@@ -592,14 +592,17 @@ impl Upp {
     }
 
     /// Processes the NI-side protocol: reservations (retrying until an entry
-    /// frees, which Sec. V-B4 proves always happens) and stops.
+    /// frees, which Sec. V-B4 proves always happens) and stops. Queues are
+    /// visited in ascending `(node, vnet)` order: each visit may send
+    /// control traffic, so `HashMap` order would make runs irreproducible.
     fn process_ni_queues(&mut self, net: &mut Network) {
-        let keys: Vec<(NodeId, VnetId)> = self
+        let mut keys: Vec<(NodeId, VnetId)> = self
             .ni_queues
             .iter()
             .filter(|(_, q)| !q.is_empty())
             .map(|(&k, _)| k)
             .collect();
+        keys.sort_unstable();
         for (node, vnet) in keys {
             let Some(front) = self
                 .ni_queues

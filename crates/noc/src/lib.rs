@@ -49,6 +49,7 @@
 //! assert!(matches!(sys.run_until_drained(1_000), RunOutcome::Drained { .. }));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -66,7 +67,6 @@ pub mod ring;
 pub mod router;
 pub mod routing;
 pub mod scheme;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod topology;

@@ -27,13 +27,12 @@
 //! * **Mergeable epochs.** [`ObsSnapshot::merge`] is associative and
 //!   commutative (counters and histogram buckets form commutative monoids
 //!   under addition; gauges join in the lattice of
-//!   `(cycle, value)`-lexicographic maxima), so shard-level snapshots can
-//!   be folded in any order.
+//!   `(cycle, value)`-lexicographic maxima), so epoch snapshots can be
+//!   folded in any order.
 //!
-//! Histogram bucketing deliberately matches `upp_tracetools::Histogram`
-//! (exact buckets below [`LINEAR_MAX`], [`SUB`] sub-buckets per octave
-//! above, identical sparse-bucket JSON), so obs exports feed the same
-//! analysis toolchain without translation.
+//! [`ObsHistogram`] is the workspace's one latency histogram:
+//! `upp_tracetools` re-exports it as `Histogram`, so obs exports and
+//! latency profiles share one bucketing and one sparse-bucket JSON shape.
 
 use crate::ids::Cycle;
 use std::collections::HashMap;
@@ -43,18 +42,25 @@ use std::fmt::Write as _;
 /// layouts are detected instead of silently parsed.
 pub const OBS_SCHEMA: &str = "upp-obs/v1";
 
-/// Sub-buckets per power-of-two octave (matches
-/// `upp_tracetools::histogram::SUB`).
+/// Sub-buckets per power-of-two octave.
 pub const SUB: usize = 32;
 
-/// Values below this get exact single-value buckets (matches
-/// `upp_tracetools::histogram::LINEAR_MAX`).
+/// Values below this get exact single-value buckets.
 pub const LINEAR_MAX: u64 = 32;
 
 // ------------------------------------------------------------- histogram
 
-/// A mergeable log-bucketed histogram of `u64` samples, bucket-compatible
-/// with `upp_tracetools::Histogram` (same indexing, same JSON shape).
+/// A mergeable log-bucketed histogram of `u64` samples (latencies in
+/// cycles).
+///
+/// Values below [`LINEAR_MAX`] get one exact bucket each; above that, every
+/// power-of-two octave is split into [`SUB`] equal sub-buckets, so the
+/// bucket width at value `v` is at most `v / SUB` and the midpoint
+/// representative is within a **relative error of `1 / (2 * SUB) = 1/64`**
+/// of any value the bucket absorbed. The bucket array is a plain counter
+/// vector, which makes merging an exact element-wise add: merged quantiles
+/// are computed over the union of the recorded values' buckets, never by
+/// approximating quantiles of quantiles.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsHistogram {
     buckets: Vec<u64>,
@@ -174,6 +180,15 @@ impl ObsHistogram {
         self.sum
     }
 
+    /// Smallest recorded sample (0 when empty).
+    pub fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
+    }
+
     /// Largest recorded sample (0 when empty).
     pub fn max(&self) -> u64 {
         if self.count == 0 {
@@ -194,7 +209,8 @@ impl ObsHistogram {
 
     /// The `q`-quantile (`0.0..=1.0`) as the midpoint of the bucket holding
     /// the rank-`ceil(q * count)` sample, clamped to the observed
-    /// `[min, max]` (same contract as `upp_tracetools::Histogram`).
+    /// `[min, max]`. Deterministic and integer-valued; within the 1/64
+    /// relative-error bound of the true order statistic.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -211,9 +227,7 @@ impl ObsHistogram {
         self.max
     }
 
-    /// Renders as a deterministic JSON object with sparse buckets —
-    /// byte-identical to `upp_tracetools::Histogram::to_json` for the same
-    /// samples.
+    /// Renders as a deterministic JSON object with sparse buckets.
     pub fn to_json(&self) -> String {
         let mut pairs = String::new();
         for (i, &n) in self.buckets.iter().enumerate() {
@@ -225,14 +239,38 @@ impl ObsHistogram {
             }
             let _ = write!(pairs, "[{i},{n}]");
         }
-        let min = if self.count == 0 { 0 } else { self.min };
         format!(
             "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{pairs}]}}",
             self.count,
             self.sum,
-            min,
+            self.min(),
             self.max()
         )
+    }
+
+    /// Rebuilds a histogram from the [`ObsHistogram::to_json`] shape.
+    pub fn from_value(v: &serde_json::Value) -> Option<Self> {
+        let count = v.get("count")?.as_u64()?;
+        let sum = v.get("sum")?.as_u64()?;
+        let min = v.get("min")?.as_u64()?;
+        let max = v.get("max")?.as_u64()?;
+        let mut buckets = Vec::new();
+        for pair in v.get("buckets")?.as_array()? {
+            let p = pair.as_array()?;
+            let idx = p.first()?.as_u64()? as usize;
+            let n = p.get(1)?.as_u64()?;
+            if buckets.len() <= idx {
+                buckets.resize(idx + 1, 0);
+            }
+            buckets[idx] = n;
+        }
+        Some(Self {
+            buckets,
+            count,
+            sum,
+            min,
+            max,
+        })
     }
 }
 
@@ -265,8 +303,8 @@ enum Kind {
 /// high-water mark.
 ///
 /// Snapshots over the same registry layout form a commutative monoid under
-/// [`ObsSnapshot::merge`], so shard- or epoch-level aggregation can fold
-/// them in any order (property-tested in `tests/obs_props.rs`).
+/// [`ObsSnapshot::merge`], so epoch-level aggregation can fold them in
+/// any order (property-tested in `tests/obs_props.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsSnapshot {
     /// Cycle the epoch ended at.
@@ -587,46 +625,6 @@ impl ObsRegistry {
         snap
     }
 
-    /// Folds a shard-local shadow registry into this one and zeroes the
-    /// shadow for reuse next cycle. A shadow is a fresh registry with
-    /// [`ObsRegistry::enable`] called, so its ids are a prefix of this
-    /// registry's (the mechanism metrics register first, in a fixed
-    /// order). The parallel region only increments counters and
-    /// event-maintained gauges — both monotone — so adding the deltas
-    /// reproduces the serial values *and* high-water marks exactly: within
-    /// one cycle a monotone gauge peaks at its end-of-cycle value, which
-    /// is what the merged add reaches.
-    pub fn absorb_shard_delta(&mut self, shadow: &mut ObsRegistry) {
-        if !self.enabled || !shadow.enabled {
-            return;
-        }
-        for (ix, c) in shadow.counters.iter_mut().enumerate() {
-            if *c != 0 {
-                self.counters[ix] += *c;
-                *c = 0;
-            }
-        }
-        for (ix, g) in shadow.gauge_value.iter_mut().enumerate() {
-            if *g != 0 {
-                let v = self.gauge_value[ix] + *g;
-                self.gauge_value[ix] = v;
-                self.gauge_high[ix] = self.gauge_high[ix].max(v);
-                self.gauge_epoch_high[ix] = self.gauge_epoch_high[ix].max(v);
-                *g = 0;
-            }
-        }
-        for (ix, h) in shadow.hists.iter_mut().enumerate() {
-            self.hists[ix].merge(h);
-            *h = ObsHistogram::new();
-        }
-        for h in shadow.gauge_high.iter_mut() {
-            *h = 0;
-        }
-        for h in shadow.gauge_epoch_high.iter_mut() {
-            *h = 0;
-        }
-    }
-
     // ------------------------------ export ------------------------------
 
     /// Sorted `(name, index)` views used by every export, so output bytes
@@ -820,7 +818,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucketing_is_continuous_and_json_matches_tracetools_shape() {
+    fn histogram_bucketing_is_continuous_and_json_is_sparse() {
         let mut h = ObsHistogram::new();
         let mut prev = 0;
         for v in 0..100_000u64 {
@@ -836,6 +834,49 @@ mod tests {
         let json = h.to_json();
         assert!(json.starts_with("{\"count\":7,\"sum\":"));
         assert!(json.contains("\"buckets\":[[0,1],[1,1],[31,1],[32,1]"));
+    }
+
+    #[test]
+    fn histogram_small_values_are_exact() {
+        let mut h = ObsHistogram::new();
+        for v in 0..LINEAR_MAX {
+            h.record(v);
+            assert_eq!(ObsHistogram::bounds(ObsHistogram::index(v)), (v, v + 1));
+        }
+        assert_eq!(h.count(), 32);
+        assert_eq!(h.min(), 0);
+        assert_eq!(h.max(), 31);
+    }
+
+    #[test]
+    fn histogram_quantiles_hit_known_ranks() {
+        let mut h = ObsHistogram::new();
+        for v in 1..=1000u64 {
+            h.record(v);
+        }
+        let p50 = h.quantile(0.5);
+        assert!(
+            (p50 as f64 - 500.0).abs() <= 500.0 / 64.0 + 1.0,
+            "p50 near 500: {p50}"
+        );
+        let p999 = h.quantile(0.999);
+        assert!(
+            (p999 as f64 - 999.0).abs() <= 999.0 / 64.0 + 1.0,
+            "p999 near 999: {p999}"
+        );
+        assert_eq!(h.quantile(1.0), 1000, "max rank clamps to observed max");
+        assert_eq!(h.quantile(0.0), 1, "min rank clamps to observed min");
+    }
+
+    #[test]
+    fn histogram_json_round_trips() {
+        let mut h = ObsHistogram::new();
+        for v in [0, 1, 31, 32, 33, 1_000, 123_456_789] {
+            h.record(v);
+        }
+        let v = serde_json::from_str(&h.to_json()).expect("valid JSON");
+        let back = ObsHistogram::from_value(&v).expect("parses");
+        assert_eq!(back, h);
     }
 
     #[test]

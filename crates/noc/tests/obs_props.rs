@@ -1,6 +1,6 @@
 //! Algebraic properties of the telemetry registry's epoch snapshots.
 //!
-//! Aggregation across epochs (and, later, across shards) folds snapshots
+//! Aggregation across epochs folds snapshots
 //! with [`ObsSnapshot::merge`]; for the fold to be safe to reorder and
 //! regroup, snapshots over one registry layout must form a commutative
 //! monoid. These properties also pin the exactness claim: cutting a run

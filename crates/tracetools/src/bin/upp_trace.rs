@@ -19,6 +19,8 @@
 //! payloads) or an epoch JSONL stream from `--obs-every`/`--obs-out`,
 //! auto-detected by their markers.
 
+#![forbid(unsafe_code)]
+
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::process::ExitCode;

@@ -13,6 +13,8 @@
 //! shrinks the scenario to a minimal repro written as a JSON artifact that
 //! `verify replay` re-executes exactly.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -32,6 +32,7 @@
 //! assert!(p.packets_ejected > 0 && !p.deadlocked);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

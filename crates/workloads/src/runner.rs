@@ -63,8 +63,8 @@ pub struct BuiltSystem {
 ///
 /// # Panics
 ///
-/// Panics if the composable search fails or fault injection cannot keep the
-/// regions connected (not observed on the paper's system shapes).
+/// Panics if the composable search fails or [`build_topology`] fails (not
+/// observed on the paper's system shapes).
 pub fn build_system(
     spec: &ChipletSystemSpec,
     cfg: NocConfig,
@@ -73,12 +73,27 @@ pub fn build_system(
     seed: u64,
     consume: ConsumePolicy,
 ) -> BuiltSystem {
-    let mut topo = spec.build(seed).expect("valid system spec");
-    if faults > 0 {
-        inject_random_faults(&mut topo, faults, seed.wrapping_add(1))
-            .expect("fault injection keeps regions connected");
-    }
+    let topo = build_topology(spec, faults, seed).expect("valid system spec and fault set");
     build_on_topology(topo, cfg, kind, seed, consume)
+}
+
+/// Builds the topology [`build_system`] simulates: `spec` with `faults`
+/// random faulty mesh links.
+///
+/// # Errors
+///
+/// Returns `Err` when the spec is invalid or `faults` links cannot be
+/// failed without disconnecting a region.
+pub fn build_topology(
+    spec: &ChipletSystemSpec,
+    faults: usize,
+    seed: u64,
+) -> Result<Topology, String> {
+    let mut topo = spec.build(seed)?;
+    if faults > 0 {
+        inject_random_faults(&mut topo, faults, seed.wrapping_add(1))?;
+    }
+    Ok(topo)
 }
 
 /// Builds a system over an existing topology (for callers that pre-shaped
@@ -95,32 +110,16 @@ pub fn build_on_topology(
     } else {
         ChipletRouting::xy()
     };
-    // Applies the process-wide `--shards` default (1 = serial) to every
-    // freshly built network.
-    fn new_net(
-        cfg: NocConfig,
-        topo: Topology,
-        routing: Arc<dyn upp_noc::routing::RouteComputer>,
-        consume: ConsumePolicy,
-        seed: u64,
-    ) -> Network {
-        let mut net = Network::new(cfg, topo, routing, consume, seed);
-        let shards = upp_noc::shard::default_shards();
-        if shards > 1 {
-            net.set_shards(shards);
-        }
-        net
-    }
     match kind {
         SchemeKind::None => {
-            let net = new_net(cfg, topo, Arc::new(routing), consume, seed);
+            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
             BuiltSystem {
                 sys: System::new(net, Box::new(upp_noc::NoScheme)),
                 upp_stats: None,
             }
         }
         SchemeKind::Upp(ucfg) => {
-            let net = new_net(cfg, topo, Arc::new(routing), consume, seed);
+            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
             let upp = Upp::new(*ucfg);
             let stats = upp.stats_handle();
             BuiltSystem {
@@ -135,14 +134,14 @@ pub fn build_on_topology(
                 "the composable search is impractical on faulty systems (Sec. VI-B)"
             );
             let (scheme, routing) = Composable::build(&topo).expect("composable search succeeds");
-            let net = new_net(cfg, topo, Arc::new(routing), consume, seed);
+            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
             BuiltSystem {
                 sys: System::new(net, Box::new(scheme)),
                 upp_stats: None,
             }
         }
         SchemeKind::RemoteControl => {
-            let net = new_net(cfg, topo, Arc::new(routing), consume, seed);
+            let net = Network::new(cfg, topo, Arc::new(routing), consume, seed);
             BuiltSystem {
                 sys: System::new(
                     net,

@@ -11,6 +11,7 @@
 //! See the `examples/` directory for runnable entry points and
 //! `EXPERIMENTS.md` for the paper-vs-measured comparison.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use upp_baselines as baselines;
