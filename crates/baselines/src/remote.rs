@@ -12,7 +12,7 @@
 //! (Sec. III-B of the UPP paper). Crossing the boundary costs one extra
 //! pipeline cycle because VA and SA cannot run in parallel there.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use upp_noc::ids::{Cycle, NodeId, PacketId, Port};
 use upp_noc::network::Network;
 use upp_noc::ni::PermitState;
@@ -81,8 +81,10 @@ struct RcObs {
 /// The remote-control scheme.
 pub struct RemoteControl {
     cfg: RemoteControlConfig,
-    /// FIFO permission queue per ingress boundary router.
-    queues: HashMap<NodeId, VecDeque<PermitRequest>>,
+    /// Ingress boundary routers, ascending.
+    boundaries: Vec<NodeId>,
+    /// FIFO permission queue of each boundary, parallel to `boundaries`.
+    queues: Vec<VecDeque<PermitRequest>>,
     stats: RemoteControlStats,
     initialized: bool,
     obs: Option<RcObs>,
@@ -101,7 +103,8 @@ impl RemoteControl {
     pub fn new(cfg: RemoteControlConfig) -> Self {
         Self {
             cfg,
-            queues: HashMap::new(),
+            boundaries: Vec::new(),
+            queues: Vec::new(),
             stats: RemoteControlStats::default(),
             initialized: false,
             obs: None,
@@ -130,17 +133,18 @@ impl RemoteControl {
     }
 
     fn initialize(&mut self, net: &mut Network) {
-        let boundaries: Vec<NodeId> = net
+        self.boundaries = net
             .topo()
             .chiplets()
             .iter()
             .flat_map(|c| c.boundary_routers.iter().copied())
             .collect();
+        self.boundaries.sort_unstable();
         let slots = self.cfg.slots_per_boundary_per_vc * net.cfg().vcs_per_vnet;
-        for b in boundaries {
+        for &b in &self.boundaries {
             net.router_mut(b).install_absorber(slots);
-            self.queues.insert(b, VecDeque::new());
         }
+        self.queues = vec![VecDeque::new(); self.boundaries.len()];
         // Interposer routers feeding an absorber never see Up-port VC
         // backpressure: the side buffer always has room for reserved packets.
         let ups: Vec<NodeId> = net
@@ -179,11 +183,10 @@ impl Scheme for RemoteControl {
         }
         self.ensure_obs(net);
         let now = net.cycle();
-        let boundaries: Vec<NodeId> = self.queues.keys().copied().collect();
-        for b in boundaries {
+        for (&b, q) in self.boundaries.iter().zip(&mut self.queues) {
             // One grant per boundary per cycle, FIFO, honouring the fixed
             // round-trip latency and slot availability.
-            let Some(req) = self.queues.get(&b).and_then(|q| q.front().copied()) else {
+            let Some(&req) = q.front() else {
                 continue;
             };
             if now < req.requested_at + self.cfg.permission_rtt {
@@ -199,7 +202,7 @@ impl Scheme for RemoteControl {
                 continue;
             }
             net.set_injection_permit(req.src, req.packet, PermitState::Granted);
-            self.queues.get_mut(&b).expect("queue exists").pop_front();
+            q.pop_front();
             self.stats.grants += 1;
         }
     }
@@ -209,7 +212,7 @@ impl Scheme for RemoteControl {
         // per boundary per cycle, contention-wait accounting), so any queued
         // request vetoes the jump. With every queue empty `pre_cycle` is a
         // pure no-op and skipping is cycle-exact.
-        self.initialized && self.queues.values().all(|q| q.is_empty())
+        self.initialized && self.queues.iter().all(|q| q.is_empty())
     }
 
     fn observe(&mut self, net: &mut Network) {
@@ -222,13 +225,12 @@ impl Scheme for RemoteControl {
         self.ensure_obs(net);
         let Some(o) = self.obs else { return };
         // Permit-queue pressure: total backlog plus the deepest single
-        // queue. Summation and max are commutative, so HashMap iteration
-        // order cannot affect the sampled values.
+        // queue.
         let mut depth = 0u64;
         let mut deepest = 0u64;
         let mut slots = 0u64;
         let mut flits = 0u64;
-        for (&b, q) in &self.queues {
+        for (&b, q) in self.boundaries.iter().zip(&self.queues) {
             depth += q.len() as u64;
             deepest = deepest.max(q.len() as u64);
             if let Some(abs) = net.router(b).absorber() {
@@ -265,14 +267,15 @@ impl Scheme for RemoteControl {
             .above(entry)
             .expect("entry interposers sit below boundaries");
         net.set_injection_permit(src, id, PermitState::Waiting);
-        self.queues
-            .get_mut(&boundary)
-            .expect("all boundaries have permission queues")
-            .push_back(PermitRequest {
-                packet: id,
-                src,
-                requested_at: net.cycle(),
-            });
+        let slot = self
+            .boundaries
+            .binary_search(&boundary)
+            .expect("all boundaries have permission queues");
+        self.queues[slot].push_back(PermitRequest {
+            packet: id,
+            src,
+            requested_at: net.cycle(),
+        });
         self.stats.requests += 1;
     }
 }

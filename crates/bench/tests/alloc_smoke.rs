@@ -1,13 +1,15 @@
 //! Counting-allocator smoke test: the steady-state cycle kernel must run
-//! allocation-free once warm.
+//! allocation-free once warm, under every scheme.
 //!
 //! The data-oriented kernel (interned packet descriptors, SoA VC rings,
 //! slab-indexed side tables) claims zero heap traffic per cycle after the
 //! transients settle: every buffer is fixed-capacity, the descriptor arena
 //! recycles handles through a free list, and the event calendar reuses its
-//! ring slots. This test installs a counting global allocator, warms the
-//! kernel up, then arms the counter and asserts that a window of
-//! steady-state cycles performs no allocations.
+//! ring slots. The schemes' per-cycle hooks keep dense, pre-built state and
+//! reuse their scratch buffers. This test installs a counting global
+//! allocator, warms the system up, then arms the counter and asserts that
+//! a window of steady-state cycles performs no allocations — for `none`,
+//! `composable`, `remote-control` and UPP alike.
 //!
 //! Escape hatch: `UPP_ALLOC_LAX=1` downgrades a violation to a warning,
 //! for platforms whose std primitives allocate where glibc's do not.
@@ -15,6 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use upp_core::UppConfig;
 use upp_noc::config::NocConfig;
 use upp_noc::ni::ConsumePolicy;
 use upp_noc::topology::ChipletSystemSpec;
@@ -67,14 +70,14 @@ fn lax() -> bool {
 const WARMUP_CYCLES: u64 = 4_000;
 const MEASURE_CYCLES: u64 = 2_000;
 
-/// Runs the kernel and returns the allocations counted over the armed
-/// steady-state window.
-fn measure() -> u64 {
+/// Runs the kernel under `scheme` and returns the allocations counted over
+/// the armed steady-state window.
+fn measure(scheme: &SchemeKind) -> u64 {
     let spec = ChipletSystemSpec::baseline();
     let built = build_system(
         &spec,
         NocConfig::default(),
-        &SchemeKind::None,
+        scheme,
         0,
         2022,
         ConsumePolicy::Immediate { latency: 1 },
@@ -104,15 +107,30 @@ fn measure() -> u64 {
     count
 }
 
+/// One test measures every scheme in turn: the counter is process-wide, so
+/// concurrent tests in this binary would count each other's allocations.
 #[test]
 fn steady_state_cycles_are_allocation_free() {
-    let allocs = measure();
-    if allocs == 0 {
+    let schemes = [
+        SchemeKind::None,
+        SchemeKind::Composable,
+        SchemeKind::RemoteControl,
+        SchemeKind::Upp(UppConfig::default()),
+    ];
+    let violations: Vec<String> = schemes
+        .iter()
+        .filter_map(|s| {
+            let allocs = measure(s);
+            (allocs > 0).then(|| format!("{}: {allocs}", s.label()))
+        })
+        .collect();
+    if violations.is_empty() {
         return;
     }
     let msg = format!(
-        "kernel performed {allocs} heap allocations over \
-         {MEASURE_CYCLES} steady-state cycles (expected 0)"
+        "heap allocations over {MEASURE_CYCLES} steady-state cycles \
+         (expected 0 for every scheme): {}",
+        violations.join(", ")
     );
     if lax() {
         eprintln!("UPP_ALLOC_LAX set; ignoring: {msg}");

@@ -75,6 +75,8 @@ fn zero_interval_flags_are_rejected_with_clear_errors() {
 #[test]
 fn invalid_inputs_are_rejected_not_panicked_on() {
     assert_rejected(&["--vcs", "0"], &["invalid configuration", "vcs_per_vnet"]);
+    // 3 VNets x 22 VCs = 66 VCs per port: more than the occupancy mask holds.
+    assert_rejected(&["--vcs", "22"], &["invalid configuration", "3 x 22"]);
     assert_rejected(&["--faults", "500"], &["invalid --faults 500"]);
     assert_rejected(
         &["--scheme", "composable", "--faults", "2"],

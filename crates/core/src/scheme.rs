@@ -14,7 +14,7 @@ use crate::detect::{up_sent_recently, UppCounter, UpwardArbiter};
 use crate::protocol::{self, PopupStage};
 use crate::signal::UppSignal;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use upp_noc::control::{ControlClass, ControlMsg, ControlRoute, DeliveredControl};
 use upp_noc::ids::{ChipletId, Cycle, NodeId, PacketId, Port, VnetId};
@@ -258,12 +258,20 @@ enum NiMsg {
 pub struct Upp {
     cfg: UppConfig,
     gap: u64,
-    routers: HashMap<NodeId, RouterState>,
+    /// Protocol state of each interposer router with an `Up` port, in
+    /// `up_nodes` order (one slot per router).
+    routers: Vec<RouterState>,
     /// Interposer routers with an `Up` port, in scan order.
     up_nodes: Vec<NodeId>,
     /// All chiplet routers (NI inbox scan list).
     chiplet_nodes: Vec<NodeId>,
-    ni_queues: HashMap<(NodeId, VnetId), VecDeque<NiMsg>>,
+    num_vnets: usize,
+    /// NI-side FIFO of each `(node, VNet)`, at `node * num_vnets + vnet`:
+    /// ascending index is ascending `(node, vnet)`, the order the queues
+    /// must be served in (each visit may send control traffic).
+    ni_queues: Vec<VecDeque<NiMsg>>,
+    /// Messages queued across all of `ni_queues`.
+    ni_pending: usize,
     stats: UppStatsHandle,
     initialized: bool,
     /// Telemetry ids, registered lazily once the network's obs registry is
@@ -292,10 +300,12 @@ impl Upp {
         Self {
             cfg,
             gap: 0,
-            routers: HashMap::new(),
+            routers: Vec::new(),
             up_nodes: Vec::new(),
             chiplet_nodes: Vec::new(),
-            ni_queues: HashMap::new(),
+            num_vnets: 0,
+            ni_queues: Vec::new(),
+            ni_pending: 0,
             stats: Arc::new(Mutex::new(UppStats::default())),
             initialized: false,
             obs: None,
@@ -325,19 +335,18 @@ impl Upp {
                 .chiplet_of(above)
                 .expect("boundary routers sit in chiplets");
             self.up_nodes.push(ir);
-            self.routers.insert(
-                ir,
-                RouterState {
-                    vnets: (0..num_vnets).map(|_| VnetState::new()).collect(),
-                    signal_q: VecDeque::new(),
-                    last_signal: None,
-                    chiplet,
-                },
-            );
+            self.routers.push(RouterState {
+                vnets: (0..num_vnets).map(|_| VnetState::new()).collect(),
+                signal_q: VecDeque::new(),
+                last_signal: None,
+                chiplet,
+            });
         }
         for c in net.topo().chiplets() {
             self.chiplet_nodes.extend(c.routers.iter().copied());
         }
+        self.num_vnets = num_vnets;
+        self.ni_queues = vec![VecDeque::new(); net.topo().num_nodes() * num_vnets];
         self.initialized = true;
     }
 
@@ -513,8 +522,8 @@ impl Upp {
     /// Marks popup priority for `packet` at every router currently holding
     /// its flits, so the worm drains ahead of ordinary traffic.
     fn mark_priority_everywhere(net: &mut Network, packet: PacketId) {
-        let nodes: Vec<NodeId> = net.topo().nodes().iter().map(|n| n.id).collect();
-        for n in nodes {
+        for i in 0..net.topo().num_nodes() {
+            let n = net.topo().nodes()[i].id;
             let holds = {
                 let r = net.router(n);
                 r.input_vcs()
@@ -530,13 +539,14 @@ impl Upp {
     fn locate_head(net: &Network, packet: PacketId) -> Option<(NodeId, Port, usize)> {
         for node in net.topo().nodes() {
             let r = net.router(node.id);
-            for (p, f) in r.input_vcs() {
-                let vc = r.input_vc(p, f);
-                if vc.owner == Some(packet) {
-                    if let Some(front) = r.vc_front(p, f) {
-                        if front.flit.kind.is_head() {
-                            return Some((node.id, p, f));
-                        }
+            // A head flit sits in a buffer, so only occupied VCs can hold it.
+            for p in Port::ALL {
+                for f in r.occupied_vcs(p) {
+                    if r.input_vc(p, f).owner != Some(packet) {
+                        continue;
+                    }
+                    if r.vc_front(p, f).is_some_and(|b| b.flit.kind.is_head()) {
+                        return Some((node.id, p, f));
                     }
                 }
             }
@@ -553,39 +563,35 @@ impl Upp {
         })
     }
 
-    fn sibling_popup_active(&self, node: NodeId, vnet: VnetId) -> bool {
-        let Some(chiplet) = self.routers.get(&node).map(|r| r.chiplet) else {
-            return false;
-        };
-        self.up_nodes.iter().any(|&other| {
-            other != node
-                && self.routers.get(&other).is_some_and(|r| {
-                    r.chiplet == chiplet && !r.vnets[vnet.index()].stage.kind().is_idle()
-                })
+    fn sibling_popup_active(&self, slot: usize, vnet: VnetId) -> bool {
+        let chiplet = self.routers[slot].chiplet;
+        self.routers.iter().enumerate().any(|(other, r)| {
+            other != slot && r.chiplet == chiplet && !r.vnets[vnet.index()].stage.kind().is_idle()
         })
     }
 
     /// Drains NI control inboxes into the per-(NI, VNet) FIFO queues.
     fn collect_ni_messages(&mut self, net: &mut Network) {
         let mut inbox = std::mem::take(&mut self.inbox_scratch);
-        for &node in &self.chiplet_nodes.clone() {
+        for i in 0..self.chiplet_nodes.len() {
+            let node = self.chiplet_nodes[i];
             net.drain_ni_inbox(node, &mut inbox);
             for d in inbox.drain(..) {
-                match UppSignal::decode(d.msg.bits) {
-                    Ok(UppSignal::Req { vnet, .. }) => self
-                        .ni_queues
-                        .entry((node, vnet))
-                        .or_default()
-                        .push_back(NiMsg::Req {
+                let (vnet, msg) = match UppSignal::decode(d.msg.bits) {
+                    Ok(UppSignal::Req { vnet, .. }) => (
+                        vnet,
+                        NiMsg::Req {
                             origin: d.msg.origin,
-                        }),
-                    Ok(UppSignal::Stop { vnet, .. }) => self
-                        .ni_queues
-                        .entry((node, vnet))
-                        .or_default()
-                        .push_back(NiMsg::Stop),
-                    other => debug_assert!(false, "unexpected NI signal {other:?}"),
-                }
+                        },
+                    ),
+                    Ok(UppSignal::Stop { vnet, .. }) => (vnet, NiMsg::Stop),
+                    other => {
+                        debug_assert!(false, "unexpected NI signal {other:?}");
+                        continue;
+                    }
+                };
+                self.ni_queues[node.index() * self.num_vnets + vnet.index()].push_back(msg);
+                self.ni_pending += 1;
             }
         }
         self.inbox_scratch = inbox;
@@ -594,36 +600,32 @@ impl Upp {
     /// Processes the NI-side protocol: reservations (retrying until an entry
     /// frees, which Sec. V-B4 proves always happens) and stops. Queues are
     /// visited in ascending `(node, vnet)` order: each visit may send
-    /// control traffic, so `HashMap` order would make runs irreproducible.
+    /// control traffic, so the order is part of the simulated result.
     fn process_ni_queues(&mut self, net: &mut Network) {
-        let mut keys: Vec<(NodeId, VnetId)> = self
-            .ni_queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&k, _)| k)
-            .collect();
-        keys.sort_unstable();
-        for (node, vnet) in keys {
-            let Some(front) = self
-                .ni_queues
-                .get(&(node, vnet))
-                .and_then(|q| q.front().copied())
-            else {
+        if self.ni_pending == 0 {
+            return;
+        }
+        for (i, q) in self.ni_queues.iter_mut().enumerate() {
+            let Some(&front) = q.front() else {
                 continue;
             };
+            let node = net.topo().nodes()[i / self.num_vnets].id;
+            let vnet = VnetId((i % self.num_vnets) as u8);
             match front {
                 NiMsg::Req { origin } => {
                     if net.try_reserve_ejection(node, vnet) {
                         net.send_control(node, Self::make_ack(origin, node, vnet));
                         self.stats.lock().unwrap().acks_sent += 1;
-                        self.ni_queues.get_mut(&(node, vnet)).unwrap().pop_front();
+                        q.pop_front();
+                        self.ni_pending -= 1;
                     } else {
                         self.stats.lock().unwrap().reservation_retries += 1;
                     }
                 }
                 NiMsg::Stop => {
                     net.release_ejection_reservation(node, vnet);
-                    self.ni_queues.get_mut(&(node, vnet)).unwrap().pop_front();
+                    q.pop_front();
+                    self.ni_pending -= 1;
                 }
             }
         }
@@ -631,7 +633,8 @@ impl Upp {
 
     /// Per-interposer-router detection, ack handling, stage machine and
     /// signal serialisation.
-    fn process_router(&mut self, net: &mut Network, node: NodeId) {
+    fn process_router(&mut self, net: &mut Network, slot: usize) {
+        let node = self.up_nodes[slot];
         let now = net.cycle();
         let num_vnets = net.cfg().num_vnets;
 
@@ -645,18 +648,18 @@ impl Upp {
                 debug_assert!(false, "router inbox must only hold acks");
                 continue;
             };
-            self.handle_ack(net, node, vnet);
+            self.handle_ack(net, slot, vnet);
         }
         self.inbox_scratch = acks;
 
         for v in 0..num_vnets {
             let vnet = VnetId(v as u8);
-            self.advance_stage(net, node, vnet);
-            self.detect(net, node, vnet, now);
+            self.advance_stage(net, slot, vnet);
+            self.detect(net, slot, vnet, now);
         }
 
         // Serial signal unit with the Size_of_Data_Packet + 1 gap.
-        let st = self.routers.get_mut(&node).expect("router state exists");
+        let st = &mut self.routers[slot];
         if let Some(msg) = st.signal_q.front().copied() {
             let ready = match st.last_signal {
                 None => true,
@@ -670,8 +673,9 @@ impl Upp {
         }
     }
 
-    fn handle_ack(&mut self, net: &mut Network, node: NodeId, vnet: VnetId) {
-        let st = self.routers.get_mut(&node).expect("router state exists");
+    fn handle_ack(&mut self, net: &mut Network, slot: usize, vnet: VnetId) {
+        let node = self.up_nodes[slot];
+        let st = &mut self.routers[slot];
         let vs = &mut st.vnets[vnet.index()];
         if vs.acks_to_drop > 0 {
             vs.acks_to_drop -= 1;
@@ -693,7 +697,7 @@ impl Upp {
             )
         };
         let acked_at = net.cycle();
-        let st = self.routers.get_mut(&node).expect("router state exists");
+        let st = &mut self.routers[slot];
         let vs = &mut st.vnets[vnet.index()];
         match vc_state {
             (Some(owner), partly) if owner == cand.packet => {
@@ -756,8 +760,9 @@ impl Upp {
         }
     }
 
-    fn advance_stage(&mut self, net: &mut Network, node: NodeId, vnet: VnetId) {
-        let stage = self.routers.get(&node).expect("router state exists").vnets[vnet.index()].stage;
+    fn advance_stage(&mut self, net: &mut Network, slot: usize, vnet: VnetId) {
+        let node = self.up_nodes[slot];
+        let stage = self.routers[slot].vnets[vnet.index()].stage;
         // Dwell accounting: one count per cycle spent in a non-idle stage.
         // Exact across fast-forwards because `advance_to` vetoes any jump
         // while a stage is non-idle.
@@ -780,7 +785,7 @@ impl Upp {
                 if owner != Some(cand.packet) {
                     // Normal progress before the ack: stop + drop the ack.
                     let stop = Self::make_stop(net, node, cand.dest, vnet);
-                    let st = self.routers.get_mut(&node).expect("router state exists");
+                    let st = &mut self.routers[slot];
                     st.signal_q.push_back(stop);
                     let vs = &mut st.vnets[vnet.index()];
                     vs.acks_to_drop += 1;
@@ -809,8 +814,7 @@ impl Upp {
                     if let Some(flit) = net.pop_upward_flit(node, cand.in_port, cand.vc_flat) {
                         if flit.kind.is_tail() {
                             let now = net.cycle();
-                            let st = self.routers.get_mut(&node).expect("router state exists");
-                            st.vnets[vnet.index()].stage = Stage::Idle;
+                            self.routers[slot].vnets[vnet.index()].stage = Stage::Idle;
                             self.complete_popup(
                                 net,
                                 node,
@@ -836,8 +840,7 @@ impl Upp {
                         // Head still here after all: full popup.
                         net.router_mut(node).set_vc_frozen(in_port, vc_flat, true);
                         net.router_mut(node).add_priority_packet(cand.packet);
-                        let st = self.routers.get_mut(&node).expect("router state exists");
-                        st.vnets[vnet.index()].stage = Stage::PopInterposer {
+                        self.routers[slot].vnets[vnet.index()].stage = Stage::PopInterposer {
                             cand,
                             selected_at,
                             acked_at,
@@ -858,8 +861,7 @@ impl Upp {
                         net.router_mut(r_star).set_vc_frozen(in_port, vc_flat, true);
                         Self::mark_priority_everywhere(net, cand.packet);
                         let located_at = net.cycle();
-                        let st = self.routers.get_mut(&node).expect("router state exists");
-                        st.vnets[vnet.index()].stage = Stage::PopChiplet {
+                        self.routers[slot].vnets[vnet.index()].stage = Stage::PopChiplet {
                             packet: cand.packet,
                             dest: cand.dest,
                             r_star,
@@ -887,7 +889,7 @@ impl Upp {
                             // Fully delivered through the normal path while
                             // we were looking: recycle the reservation.
                             let stop = Self::make_stop(net, node, cand.dest, vnet);
-                            let st = self.routers.get_mut(&node).expect("router state exists");
+                            let st = &mut self.routers[slot];
                             st.signal_q.push_back(stop);
                             st.vnets[vnet.index()].stage = Stage::Idle;
                             self.stats.lock().unwrap().stops_sent += 1;
@@ -934,8 +936,7 @@ impl Upp {
                     if let Some(flit) = net.pop_bypass_flit(r_star, in_port, vc_flat, out) {
                         if flit.kind.is_tail() {
                             let now = net.cycle();
-                            let st = self.routers.get_mut(&node).expect("router state exists");
-                            st.vnets[vnet.index()].stage = Stage::Idle;
+                            self.routers[slot].vnets[vnet.index()].stage = Stage::Idle;
                             self.complete_popup(
                                 net,
                                 node,
@@ -954,16 +955,16 @@ impl Upp {
         }
     }
 
-    fn detect(&mut self, net: &mut Network, node: NodeId, vnet: VnetId, now: Cycle) {
-        let stage_idle = self.routers.get(&node).expect("router state exists").vnets[vnet.index()]
+    fn detect(&mut self, net: &mut Network, slot: usize, vnet: VnetId, now: Cycle) {
+        let node = self.up_nodes[slot];
+        let stage_idle = self.routers[slot].vnets[vnet.index()]
             .stage
             .kind()
             .is_idle();
         self.cand_scratch.clear();
         net.upward_candidates_into(node, vnet, &mut self.cand_scratch);
         let recent = up_sent_recently(net.up_last_sent(node, vnet), now);
-        let st = self.routers.get_mut(&node).expect("router state exists");
-        let vs = &mut st.vnets[vnet.index()];
+        let vs = &mut self.routers[slot].vnets[vnet.index()];
         if !stage_idle {
             vs.counter.reset();
             return;
@@ -978,11 +979,10 @@ impl Upp {
         if let Some(o) = &self.obs {
             net.obs_mut().inc(o.watchdog_expired);
         }
-        if self.cfg.serialize_per_chiplet && self.sibling_popup_active(node, vnet) {
+        if self.cfg.serialize_per_chiplet && self.sibling_popup_active(slot, vnet) {
             return;
         }
-        let st = self.routers.get_mut(&node).expect("router state exists");
-        let vs = &mut st.vnets[vnet.index()];
+        let vs = &mut self.routers[slot].vnets[vnet.index()];
         let Some(cand) = vs.arbiter.pick(&self.cand_scratch) else {
             return;
         };
@@ -995,8 +995,7 @@ impl Upp {
             net.obs_mut().inc(o.enter_wait_ack);
         }
         let req = Self::make_req(net, node, &cand);
-        let st = self.routers.get_mut(&node).expect("router state exists");
-        st.signal_q.push_back(req);
+        self.routers[slot].signal_q.push_back(req);
         Self::trace_stage(
             net,
             node,
@@ -1034,8 +1033,8 @@ impl Scheme for Upp {
         self.ensure_obs(net);
         self.collect_ni_messages(net);
         self.process_ni_queues(net);
-        for node in self.up_nodes.clone() {
-            self.process_router(net, node);
+        for slot in 0..self.up_nodes.len() {
+            self.process_router(net, slot);
         }
     }
 
@@ -1050,7 +1049,7 @@ impl Scheme for Upp {
         let Some(o) = self.obs else { return };
         let mut active = 0u64;
         let mut signals = 0u64;
-        for st in self.routers.values() {
+        for st in &self.routers {
             signals += st.signal_q.len() as u64;
             for vs in &st.vnets {
                 if !vs.stage.kind().is_idle() {
@@ -1058,16 +1057,14 @@ impl Scheme for Upp {
                 }
                 // Distribution of live watchdog values: how close the
                 // population of `(node, VNet)` watchdogs sits to the
-                // threshold. Bucket adds commute, so the iteration order of
-                // the router map cannot affect the exported bytes.
+                // threshold.
                 net.obs_mut().record(o.watchdog_counter, vs.counter.value());
             }
         }
-        let ni_pending: u64 = self.ni_queues.values().map(|q| q.len() as u64).sum();
         let r = net.obs_mut();
         r.gauge_set(o.stages_active, active);
         r.gauge_set(o.signal_queue, signals);
-        r.gauge_set(o.ni_queue, ni_pending);
+        r.gauge_set(o.ni_queue, self.ni_pending as u64);
     }
 
     fn advance_to(&mut self, _net: &Network, _from: Cycle, _to: Cycle) -> bool {
@@ -1082,19 +1079,19 @@ impl Scheme for Upp {
         if !self.initialized {
             return false;
         }
-        if self.routers.values().any(|st| {
+        if self.routers.iter().any(|st| {
             !st.signal_q.is_empty() || st.vnets.iter().any(|vs| !vs.stage.kind().is_idle())
         }) {
             return false;
         }
-        if self.ni_queues.values().any(|q| !q.is_empty()) {
+        if self.ni_pending > 0 {
             return false;
         }
         // With every stage Idle and no buffered flits anywhere, each skipped
         // cycle's `detect` would see zero upward candidates and tick every
         // counter back to zero (`tick(false, _)` → 0). Apply that batched
         // effect here so the jump is cycle-exact.
-        for st in self.routers.values_mut() {
+        for st in &mut self.routers {
             for vs in &mut st.vnets {
                 vs.counter.reset();
             }

@@ -13,6 +13,10 @@ pub enum FlowControl {
     VirtualCutThrough,
 }
 
+/// Most VCs one router port may carry (`num_vnets * vcs_per_vnet`): each
+/// router tracks which VCs of a port buffer flits in one `u64` bit mask.
+pub const MAX_VCS_PER_PORT: usize = 64;
+
 /// Static configuration of the simulated network.
 ///
 /// The defaults reproduce Table II of the paper: 3 VNets with 1 VC each,
@@ -100,8 +104,9 @@ impl NocConfig {
     ///
     /// # Errors
     ///
-    /// Returns `Err` when any dimension is zero or when buffers cannot hold a
-    /// single flit.
+    /// Returns `Err` when any dimension is zero, when a port would carry more
+    /// than [`MAX_VCS_PER_PORT`] VCs, or when buffers cannot hold a single
+    /// flit.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_vnets == 0 {
             return Err("num_vnets must be at least 1".into());
@@ -111,6 +116,16 @@ impl NocConfig {
         }
         if self.vcs_per_vnet == 0 {
             return Err("vcs_per_vnet must be at least 1".into());
+        }
+        if self
+            .num_vnets
+            .checked_mul(self.vcs_per_vnet)
+            .is_none_or(|vcs| vcs > MAX_VCS_PER_PORT)
+        {
+            return Err(format!(
+                "num_vnets x vcs_per_vnet = {} x {} exceeds the {MAX_VCS_PER_PORT} VCs per port a router's occupancy mask holds",
+                self.num_vnets, self.vcs_per_vnet
+            ));
         }
         if self.vc_buffer_depth == 0 {
             return Err("vc_buffer_depth must be at least 1".into());
@@ -203,6 +218,23 @@ mod tests {
         let mut cfg = NocConfig::default();
         cfg.link_latency = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_caps_vcs_per_port_at_the_mask_width() {
+        let cfg = NocConfig::default().with_vcs_per_vnet(21);
+        assert_eq!(cfg.vcs_per_port(), 63);
+        assert!(cfg.validate().is_ok());
+        let cfg = NocConfig::default().with_vcs_per_vnet(22);
+        let err = cfg
+            .validate()
+            .expect_err("66 VCs per port cannot fit a u64 mask");
+        assert!(err.contains("3 x 22"), "{err}");
+        let cfg = NocConfig::default().with_vcs_per_vnet(usize::MAX);
+        assert!(
+            cfg.validate().is_err(),
+            "an overflowing product is rejected"
+        );
     }
 
     #[test]

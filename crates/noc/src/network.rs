@@ -496,8 +496,14 @@ impl Network {
         out: &mut Vec<UpwardCandidate>,
     ) {
         let r = &self.routers[node.index()];
-        for (p, f) in r.input_vcs() {
-            if !r.vnet_range(vnet).contains(&f) {
+        let vcs = r.vnet_range(vnet);
+        // Only a VC with a buffered flit can be a candidate; the occupied
+        // VCs are visited in ascending (port, VC) order.
+        for (p, f) in Port::ALL
+            .into_iter()
+            .flat_map(|p| r.occupied_vcs(p).map(move |f| (p, f)))
+        {
+            if !vcs.contains(&f) {
                 continue;
             }
             let vc = r.input_vc(p, f);

@@ -19,7 +19,7 @@
 //! * an optional packet-sized side-buffer *absorber* on boundary routers
 //!   (remote control's isolation buffers).
 
-use crate::config::NocConfig;
+use crate::config::{NocConfig, MAX_VCS_PER_PORT};
 use crate::control::{CircuitEntry, ControlClass, ControlMsg, ControlRoute, DeliveredControl};
 use crate::event::Event;
 use crate::ids::{Cycle, NodeId, PacketId, Port, VnetId};
@@ -33,7 +33,7 @@ use crate::topology::Topology;
 use crate::trace::{BlockReason, TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// A buffered flit with its arrival cycle (flits attend switch allocation
 /// from the cycle after arrival).
@@ -99,10 +99,17 @@ pub struct Absorber {
 }
 
 impl Absorber {
-    /// Creates an absorber with `slots` packet-sized slots.
-    pub fn new(slots: usize) -> Self {
+    /// Creates an absorber with `slots` packet-sized slots, each buffer
+    /// pre-sized to `slot_flits` (one whole packet) so absorbing never
+    /// allocates.
+    pub fn new(slots: usize, slot_flits: usize) -> Self {
         Self {
-            slots: vec![AbsorbSlot::default(); slots],
+            slots: (0..slots)
+                .map(|_| AbsorbSlot {
+                    buf: VecDeque::with_capacity(slot_flits),
+                    ..AbsorbSlot::default()
+                })
+                .collect(),
             rr: 0,
         }
     }
@@ -168,6 +175,24 @@ impl Absorber {
     }
 }
 
+/// The set bits of a `u64` mask, ascending (an occupied-VC set).
+#[derive(Debug, Clone, Copy)]
+pub struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let f = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(f)
+    }
+}
+
 /// External references a router needs while processing one cycle.
 pub(crate) struct RouterCtx<'a> {
     pub cfg: &'a NocConfig,
@@ -200,6 +225,11 @@ pub struct Router {
     /// larger of the credit depth and one whole packet: a popup rejoin can
     /// legally re-buffer a worm past its credit-limited depth.
     bufs: RingBank<BufferedFlit>,
+    /// Per-input-port occupancy masks: bit `f` of `occ[p]` is set exactly
+    /// when VC `f` of port `p` buffers a flit. Switch allocation and the
+    /// popup candidate scan visit only these VCs, so a cycle costs the
+    /// flits buffered rather than the configured port x VC space.
+    occ: [u64; Port::COUNT],
     /// Flat `port x vc` downstream credit/ownership mirrors (same indexing).
     out_vcs: Vec<OutVcState>,
     vcs_per_port: usize,
@@ -211,7 +241,8 @@ pub struct Router {
     ack_buf: VecDeque<(ControlMsg, Port, Cycle)>,
     circuits: HashMap<(VnetId, NodeId), CircuitEntry>,
     bypass: VecDeque<BypassFlit>,
-    priority_packets: HashSet<PacketId>,
+    /// Packets holding popup priority here (a set; rarely more than one).
+    priority_packets: Vec<PacketId>,
     absorber: Option<Absorber>,
     control_inbox: Vec<DeliveredControl>,
     rr_in: [usize; Port::COUNT],
@@ -235,6 +266,10 @@ impl Router {
     /// Builds the router for `node`.
     pub fn new(node: NodeId, cfg: &NocConfig, topo: &Topology, seed: u64) -> Self {
         let vcs = cfg.vcs_per_port();
+        assert!(
+            vcs <= MAX_VCS_PER_PORT,
+            "{vcs} VCs per port exceed the occupancy mask (NocConfig::validate rejects this)"
+        );
         let mut has_link = [false; Port::COUNT];
         has_link[Port::Local.index()] = true;
         for p in Port::ALL {
@@ -265,6 +300,7 @@ impl Router {
             num_vnets: cfg.num_vnets,
             in_vcs,
             bufs,
+            occ: [0; Port::COUNT],
             out_vcs,
             vcs_per_port: vcs,
             has_link,
@@ -273,7 +309,7 @@ impl Router {
             ack_buf: VecDeque::new(),
             circuits: HashMap::new(),
             bypass: VecDeque::new(),
-            priority_packets: HashSet::new(),
+            priority_packets: Vec::new(),
             absorber: None,
             control_inbox: Vec::new(),
             rr_in: [0; Port::COUNT],
@@ -290,7 +326,8 @@ impl Router {
 
     /// Installs a remote-control absorber with `slots` packet slots.
     pub fn install_absorber(&mut self, slots: usize) {
-        self.absorber = Some(Absorber::new(slots));
+        // The VC ring capacity covers one whole packet, as does a slot.
+        self.absorber = Some(Absorber::new(slots, self.bufs.capacity()));
     }
 
     /// Marks the output port `p` as an infinite sink (downstream absorbs
@@ -331,6 +368,11 @@ impl Router {
     /// True when an input VC holds no buffered flits.
     pub fn vc_buf_is_empty(&self, p: Port, vc_flat: usize) -> bool {
         self.bufs.is_empty(p.index() * self.vcs_per_port + vc_flat)
+    }
+
+    /// The VCs of input port `p` that buffer at least one flit, ascending.
+    pub fn occupied_vcs(&self, p: Port) -> SetBits {
+        SetBits(self.occ[p.index()])
     }
 
     /// Oldest buffered flit of an input VC, if any.
@@ -380,12 +422,16 @@ impl Router {
 
     /// Marks a packet's buffered flits as popup-priority.
     pub fn add_priority_packet(&mut self, p: PacketId) {
-        self.priority_packets.insert(p);
+        if !self.priority_packets.contains(&p) {
+            self.priority_packets.push(p);
+        }
     }
 
     /// Clears a popup-priority mark.
     pub fn remove_priority_packet(&mut self, p: PacketId) {
-        self.priority_packets.remove(&p);
+        if let Some(i) = self.priority_packets.iter().position(|&q| q == p) {
+            self.priority_packets.swap_remove(i);
+        }
     }
 
     /// True while `p` holds popup priority here.
@@ -442,6 +488,34 @@ impl Router {
                 .is_some_and(|a| a.slots.iter().any(|s| !s.buf.is_empty()))
     }
 
+    /// Buffers `b` in input VC `(p, f)` and marks the VC occupied; returns
+    /// `Err` when the VC's ring is full.
+    fn push_flit(&mut self, p: Port, f: usize, b: BufferedFlit) -> Result<(), BufferedFlit> {
+        self.bufs.push_back(p.index() * self.vcs_per_port + f, b)?;
+        self.occ[p.index()] |= 1 << f;
+        Ok(())
+    }
+
+    /// Pops the oldest flit of input VC `(p, f)`, clearing its occupancy
+    /// bit when that empties the VC.
+    fn pop_flit(&mut self, p: Port, f: usize) -> Option<BufferedFlit> {
+        let iv = p.index() * self.vcs_per_port + f;
+        let b = self.bufs.pop_front(iv)?;
+        if self.bufs.is_empty(iv) {
+            self.occ[p.index()] &= !(1 << f);
+        }
+        Some(b)
+    }
+
+    /// True when every occupancy bit matches its VC's ring (debug check).
+    fn occupancy_consistent(&self) -> bool {
+        (0..self.in_vcs.len()).all(|iv| {
+            let (p, f) = (iv / self.vcs_per_port, iv % self.vcs_per_port);
+            let occupied = self.occ[p] >> f & 1 == 1;
+            occupied != self.bufs.is_empty(iv)
+        })
+    }
+
     /// Enqueues a locally-originated control message (it attends switch
     /// allocation from the next cycle, like an arriving head flit).
     pub fn send_control(&mut self, msg: ControlMsg, now: Cycle) {
@@ -495,9 +569,9 @@ impl Router {
             vc.out_vc = None;
         }
         if self
-            .bufs
-            .push_back(
-                iv,
+            .push_flit(
+                in_port,
+                vc_flat,
                 BufferedFlit {
                     flit,
                     arrived: ctx.now,
@@ -522,15 +596,18 @@ impl Router {
         let (id, circuit_key) = (desc.id, (desc.vnet, desc.route.dest));
         // Rejoin rule: if this packet still owns an input VC here with
         // buffered flits, append behind them so flits cannot overtake.
-        for iv in 0..self.in_vcs.len() {
-            if self.in_vcs[iv].owner == Some(id) && !self.bufs.is_empty(iv) {
+        for p in Port::ALL {
+            for vc in self.occupied_vcs(p) {
+                if self.in_vcs[p.index() * self.vcs_per_port + vc].owner != Some(id) {
+                    continue;
+                }
                 let mut f = flit;
                 f.upward = false;
                 f.popup_priority = true;
                 if self
-                    .bufs
-                    .push_back(
-                        iv,
+                    .push_flit(
+                        p,
+                        vc,
                         BufferedFlit {
                             flit: f,
                             arrived: ctx.now,
@@ -540,7 +617,7 @@ impl Router {
                 {
                     panic!("rejoin overflow at {} for {id}", self.node);
                 }
-                self.priority_packets.insert(id);
+                self.add_priority_packet(id);
                 return;
             }
         }
@@ -593,6 +670,11 @@ impl Router {
     /// Processes one cycle: bypass forwarding, control-signal switch
     /// allocation, then normal separable switch allocation and commit.
     pub(crate) fn step(&mut self, ctx: &mut RouterCtx<'_>) {
+        debug_assert!(
+            self.occupancy_consistent(),
+            "occupancy mask out of step with the VC buffers at {}",
+            self.node
+        );
         let mut claimed_out = [false; Port::COUNT];
         let mut claimed_in = [false; Port::COUNT];
 
@@ -613,6 +695,9 @@ impl Router {
         claimed_out: &mut [bool; Port::COUNT],
         claimed_in: &mut [bool; Port::COUNT],
     ) {
+        if self.bypass.is_empty() {
+            return;
+        }
         // In-place retain (instead of draining into a fresh queue) keeps the
         // per-cycle hot path allocation-free; `self.bypass` is moved out so
         // the closure can borrow the rest of `self` mutably.
@@ -852,7 +937,8 @@ impl Router {
         // port-indexed array replaces the former per-cycle `Vec`.
         let mut bids: [Option<Bid>; Port::COUNT] = [None; Port::COUNT];
         for p in Port::ALL {
-            if claimed_in[p.index()] || !self.has_link[p.index()] {
+            let occ = self.occ[p.index()];
+            if occ == 0 || claimed_in[p.index()] || !self.has_link[p.index()] {
                 continue;
             }
             if p == Port::Down && self.absorber.is_some() {
@@ -861,9 +947,12 @@ impl Router {
             let n = self.vcs_per_port;
             let base = p.index() * n;
             let start = self.rr_in[p.index()] % n;
+            // Round-robin from `start` over the occupied VCs only: the bits
+            // at or above `start`, then the wrapped-around bits below it.
+            // Empty VCs could neither bid nor be traced as blocked.
+            let wrapped = occ & !(u64::MAX << start);
             let mut chosen: Option<(usize, bool)> = None;
-            for off in 0..n {
-                let f = (start + off) % n;
+            for f in SetBits(occ & !wrapped).chain(SetBits(wrapped)) {
                 if self.vc_request(p, f, ctx).is_none() {
                     if ctx.tracer.enabled() {
                         if let Some((packet, out, reason)) = self.classify_block(p, f, ctx) {
@@ -923,37 +1012,36 @@ impl Router {
             }
         }
 
-        // Phase 2: one winner per output port. Scanning the bid array in
-        // port-index order yields the contenders already sorted by input
-        // port, so priority-first / round-robin arbitration matches the old
-        // sorted-`Vec` behaviour without allocating.
+        // Phase 2: one winner per output port. One pass over the bids
+        // builds, per output, a mask of the contending input ports and of
+        // those bidding with popup priority (bit = input port index, so set
+        // bits ascend in input-port order). A priority bid wins outright
+        // (the first in port order); otherwise the `rr_out`-th contender
+        // wins, counting set bits round-robin.
+        let mut contending = [0u8; Port::COUNT];
+        let mut prioritised = [0u8; Port::COUNT];
+        for b in bids.iter().flatten() {
+            let bit = 1u8 << b.in_port.index();
+            contending[b.out_port.index()] |= bit;
+            if b.priority {
+                prioritised[b.out_port.index()] |= bit;
+            }
+        }
         let mut winners: [Option<usize>; Port::COUNT] = [None; Port::COUNT];
         for out in Port::ALL {
-            if claimed_out[out.index()] {
+            let cont = contending[out.index()];
+            if cont == 0 || claimed_out[out.index()] {
                 continue;
             }
-            let mut contenders: [Option<&Bid>; Port::COUNT] = [None; Port::COUNT];
-            let mut n_cont = 0usize;
-            let mut priority_winner: Option<&Bid> = None;
-            for b in bids.iter().flatten() {
-                if b.out_port != out {
-                    continue;
-                }
-                contenders[n_cont] = Some(b);
-                n_cont += 1;
-                if b.priority && priority_winner.is_none() {
-                    priority_winner = Some(b);
-                }
-            }
-            if n_cont == 0 {
-                continue;
-            }
-            let winner = if let Some(pb) = priority_winner {
-                *pb
+            let input = if prioritised[out.index()] != 0 {
+                prioritised[out.index()].trailing_zeros() as usize
             } else {
-                let start = self.rr_out[out.index()] % n_cont;
-                *contenders[start].expect("contender count covers the prefix")
+                let k = self.rr_out[out.index()] % cont.count_ones() as usize;
+                SetBits(u64::from(cont))
+                    .nth(k)
+                    .expect("k is below the contender count")
             };
+            let winner = bids[input].expect("contending input has a bid");
             claimed_out[out.index()] = true;
             claimed_in[winner.in_port.index()] = true;
             self.rr_out[out.index()] = self.rr_out[out.index()].wrapping_add(1);
@@ -1148,8 +1236,8 @@ impl Router {
 
     fn commit_normal(&mut self, ctx: &mut RouterCtx<'_>, in_port: Port, f: usize, out: Port) {
         let (flit, needs_alloc) = {
+            let b = self.pop_flit(in_port, f).expect("winner has a head flit");
             let iv = in_port.index() * self.vcs_per_port + f;
-            let b = self.bufs.pop_front(iv).expect("winner has a head flit");
             (b.flit, self.in_vcs[iv].out_vc.is_none())
         };
         let ovc = if needs_alloc {
@@ -1220,7 +1308,7 @@ impl Router {
             vc.out_vc = None;
             vc.frozen = false;
             if !self.priority_packets.is_empty() {
-                self.priority_packets.remove(&ctx.arena.desc(&flit).id);
+                self.remove_priority_packet(ctx.arena.desc(&flit).id);
             }
         }
         self.forward_flit(ctx, flit, out, ovc, is_tail);
@@ -1377,7 +1465,10 @@ impl Router {
         if head.arrived >= ctx.now {
             return None;
         }
-        let mut flit = self.bufs.pop_front(iv).expect("checked non-empty").flit;
+        let mut flit = self
+            .pop_flit(in_port, vc_flat)
+            .expect("checked non-empty")
+            .flit;
         flit.upward = true;
         if ctx.tracer.enabled() {
             ctx.tracer.record(TraceEvent::BypassPop {
@@ -1545,8 +1636,13 @@ mod tests {
 
         /// Interns a descriptor for packet 1 of `len` flits toward `dest`.
         fn intern(&mut self, len: u16, dest: NodeId) -> PacketRef {
+            self.intern_packet(PacketId(1), len, dest)
+        }
+
+        /// Interns a descriptor for packet `id` of `len` flits toward `dest`.
+        fn intern_packet(&mut self, id: PacketId, len: u16, dest: NodeId) -> PacketRef {
             self.arena.alloc(PacketDesc {
-                id: PacketId(1),
+                id,
                 src: NodeId(0),
                 vnet: VnetId(0),
                 pkt_len: len,
@@ -1772,9 +1868,125 @@ mod tests {
         assert_eq!(entry.out_port, Port::East);
     }
 
+    /// The occupied-VC set of every port, as `(port, vc)` pairs.
+    fn occupied(r: &Router) -> Vec<(Port, usize)> {
+        Port::ALL
+            .into_iter()
+            .flat_map(|p| r.occupied_vcs(p).map(move |f| (p, f)))
+            .collect()
+    }
+
+    #[test]
+    fn occupancy_mask_tracks_buffers() {
+        let mut h = Harness::new(NocConfig::default());
+        let mut r = h.router();
+        let dest = h.topo.chiplets()[0].routers[6]; // east neighbour
+        assert!(occupied(&r).is_empty());
+
+        // deliver_flit sets the bit; commit_normal clears it only when the
+        // VC's last flit leaves.
+        let d = h.intern_packet(PacketId(1), 2, dest);
+        {
+            let mut ctx = h.ctx(0);
+            r.deliver_flit(&mut ctx, Port::West, 0, Flit::new(d, 0, 2));
+            r.deliver_flit(&mut ctx, Port::West, 0, Flit::new(d, 1, 2));
+        }
+        assert_eq!(occupied(&r), vec![(Port::West, 0)]);
+        r.step(&mut h.ctx(1)); // head departs
+        assert_eq!(occupied(&r), vec![(Port::West, 0)], "the tail remains");
+        r.step(&mut h.ctx(2)); // tail departs
+        assert!(occupied(&r).is_empty(), "an emptied VC leaves the mask");
+
+        // A popup pops flits out through pop_bypass_flit; a partly popped
+        // worm stays occupied, the emptied VC does not.
+        let vnet1 = r.vnet_range(VnetId(1)).start;
+        let d2 = h.intern_packet(PacketId(2), 2, dest);
+        {
+            let mut ctx = h.ctx(10);
+            r.deliver_flit(&mut ctx, Port::North, vnet1, Flit::new(d2, 0, 2));
+            r.deliver_flit(&mut ctx, Port::North, vnet1, Flit::new(d2, 1, 2));
+        }
+        assert_eq!(occupied(&r), vec![(Port::North, vnet1)]);
+        let head = r.pop_bypass_flit(&mut h.ctx(11), Port::North, vnet1, Port::East);
+        assert!(head.is_some_and(|f| f.kind.is_head()));
+        assert_eq!(occupied(&r), vec![(Port::North, vnet1)]);
+
+        // An upward flit of a packet still buffered here rejoins its worm
+        // (deliver_upward) instead of entering the bypass latch.
+        let d3 = h.intern_packet(PacketId(3), 3, dest);
+        {
+            let mut ctx = h.ctx(12);
+            r.deliver_flit(&mut ctx, Port::South, 0, Flit::new(d3, 0, 3));
+            let mut up = Flit::new(d3, 1, 3);
+            up.upward = true;
+            r.deliver_flit(&mut ctx, Port::West, 0, up);
+        }
+        assert_eq!(r.vc_buf_len(Port::South, 0), 2, "rejoined behind the head");
+        assert_eq!(r.bypass_pending(), 1, "only the popped head is latched");
+        assert!(r.is_priority_packet(PacketId(3)));
+        assert_eq!(
+            occupied(&r),
+            vec![(Port::North, vnet1), (Port::South, 0)],
+            "the rejoin lands in an occupied VC; West VC 0 stays empty"
+        );
+
+        let tail = r.pop_bypass_flit(&mut h.ctx(12), Port::North, vnet1, Port::East);
+        assert!(tail.is_some_and(|f| f.kind.is_tail()));
+        assert_eq!(occupied(&r), vec![(Port::South, 0)]);
+        assert!(r.occupancy_consistent());
+    }
+
+    #[test]
+    fn switch_allocation_rotates_contenders_and_honours_priority() {
+        let mut h = Harness::new(NocConfig::default());
+        let mut r = h.router();
+        let dest = h.topo.chiplets()[0].routers[6]; // East of node 5 under XY
+        let inputs = [Port::North, Port::South, Port::West];
+        let mut next_id = 0u64;
+        let mut refill = |h: &mut Harness, r: &mut Router, now: Cycle| {
+            for p in inputs {
+                if r.vc_buf_is_empty(p, 0) {
+                    next_id += 1;
+                    let d = h.intern_packet(PacketId(next_id), 1, dest);
+                    r.deliver_flit(&mut h.ctx(now), p, 0, Flit::new(d, 0, 1));
+                }
+            }
+        };
+        // Each cycle all three inputs bid for East; the drained input is
+        // refilled and the downstream VC freed so every cycle contends.
+        let mut winners = Vec::new();
+        for now in 1..=4 {
+            refill(&mut h, &mut r, now - 1);
+            r.step(&mut h.ctx(now));
+            let won: Vec<Port> = inputs
+                .into_iter()
+                .filter(|&p| r.vc_buf_is_empty(p, 0))
+                .collect();
+            assert_eq!(won.len(), 1, "one winner per output and cycle");
+            winners.push(won[0]);
+            r.deliver_credit(Port::East, 0, true);
+        }
+        // Contenders in input-port order are [North, South, West]; winner k
+        // is the (k mod 3)-th.
+        assert_eq!(
+            winners,
+            vec![Port::North, Port::South, Port::West, Port::North]
+        );
+
+        // Round robin would pick South next; a priority bid wins outright.
+        refill(&mut h, &mut r, 4);
+        let west_pkt = h.arena.desc(&r.vc_front(Port::West, 0).unwrap().flit).id;
+        r.add_priority_packet(west_pkt);
+        r.step(&mut h.ctx(5));
+        assert!(r.vc_buf_is_empty(Port::West, 0), "the priority bid wins");
+        assert!(!r.vc_buf_is_empty(Port::North, 0));
+        assert!(!r.vc_buf_is_empty(Port::South, 0));
+        assert!(!r.is_priority_packet(west_pkt), "cleared as its tail left");
+    }
+
     #[test]
     fn absorber_reserves_accepts_and_frees() {
-        let mut a = Absorber::new(2);
+        let mut a = Absorber::new(2, 5);
         assert_eq!(a.free_slots(), 2);
         assert!(a.reserve(PacketId(7)));
         assert!(a.reserve(PacketId(8)));

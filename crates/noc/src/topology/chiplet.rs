@@ -519,6 +519,24 @@ mod tests {
     }
 
     #[test]
+    fn link_faults_are_symmetric_counted_once_and_clear() {
+        use crate::ids::Port;
+        let mut topo = ChipletSystemSpec::baseline().build(0).unwrap();
+        let n = topo.chiplets()[0].routers[5];
+        let peer = topo.raw_neighbor(n, Port::East).unwrap();
+        topo.set_link_faulty(n, Port::East);
+        topo.set_link_faulty(peer, Port::West); // the same link again
+        assert_eq!(topo.num_faulty_links(), 1);
+        assert!(topo.neighbor(peer, Port::West).is_none(), "both directions");
+        assert!(!topo.is_link_faulty(n, Port::West), "other ports untouched");
+        topo.clear_link_fault(peer, Port::West);
+        topo.clear_link_fault(n, Port::East); // already clear: no-op
+        assert_eq!(topo.num_faulty_links(), 0);
+        assert_eq!(topo.neighbor(n, Port::East), Some(peer));
+        assert_eq!(topo, ChipletSystemSpec::baseline().build(0).unwrap());
+    }
+
+    #[test]
     fn fault_injection_never_touches_vertical_links() {
         let mut topo = ChipletSystemSpec::baseline().build(0).unwrap();
         inject_random_faults(&mut topo, 20, 9).unwrap();

@@ -85,9 +85,12 @@ pub struct Topology {
     /// to (Sec. V-D). Boundary routers are bound to themselves. Interposer
     /// routers map to themselves (unused).
     binding: Vec<NodeId>,
-    /// Faulty directed links as `(node, out_port)`; faults are symmetric (the
-    /// reverse direction is also present in the set).
-    faulty: HashSet<(NodeId, Port)>,
+    /// Faulty directed links: bit `port.index()` of `faulty[node]` is set
+    /// when the link leaving `node` through `port` is faulty. Faults are
+    /// symmetric (the reverse direction's bit is set too).
+    faulty: Vec<u8>,
+    /// Number of set bits in `faulty` (faulty directed links).
+    faulty_directed: usize,
 }
 
 impl Topology {
@@ -100,13 +103,14 @@ impl Topology {
         binding: Vec<NodeId>,
     ) -> Self {
         Self {
+            faulty: vec![0; nodes.len()],
+            faulty_directed: 0,
             nodes,
             chiplets,
             interposer_width,
             interposer_height,
             interposer_routers,
             binding,
-            faulty: HashSet::new(),
         }
     }
 
@@ -186,7 +190,7 @@ impl Topology {
     /// faulty.
     #[inline]
     pub fn neighbor(&self, id: NodeId, port: Port) -> Option<NodeId> {
-        if self.faulty.contains(&(id, port)) {
+        if self.is_link_faulty(id, port) {
             return None;
         }
         self.node(id).neighbors[port.index()]
@@ -240,27 +244,41 @@ impl Topology {
         let peer = self
             .raw_neighbor(node, port)
             .expect("cannot mark a non-existent link faulty");
-        self.faulty.insert((node, port));
-        self.faulty.insert((peer, port.opposite()));
+        self.set_fault_bit(node, port, true);
+        self.set_fault_bit(peer, port.opposite(), true);
     }
 
     /// Clears a fault previously set with [`Topology::set_link_faulty`].
     pub fn clear_link_fault(&mut self, node: NodeId, port: Port) {
         if let Some(peer) = self.raw_neighbor(node, port) {
-            self.faulty.remove(&(node, port));
-            self.faulty.remove(&(peer, port.opposite()));
+            self.set_fault_bit(node, port, false);
+            self.set_fault_bit(peer, port.opposite(), false);
+        }
+    }
+
+    /// Sets or clears the fault bit of the directed link `(node, port)`,
+    /// keeping `faulty_directed` equal to the number of set bits.
+    fn set_fault_bit(&mut self, node: NodeId, port: Port, faulty: bool) {
+        if self.is_link_faulty(node, port) == faulty {
+            return;
+        }
+        self.faulty[node.index()] ^= 1 << port.index();
+        if faulty {
+            self.faulty_directed += 1;
+        } else {
+            self.faulty_directed -= 1;
         }
     }
 
     /// True if the directed link `(node, port)` is faulty.
     #[inline]
     pub fn is_link_faulty(&self, node: NodeId, port: Port) -> bool {
-        self.faulty.contains(&(node, port))
+        self.faulty[node.index()] >> port.index() & 1 == 1
     }
 
     /// Number of faulty bidirectional links.
     pub fn num_faulty_links(&self) -> usize {
-        self.faulty.len() / 2
+        self.faulty_directed / 2
     }
 
     /// Nodes of the region `r`, in deterministic order.
